@@ -272,18 +272,20 @@ class ClcCoordinator:
         self._snapshots = []
 
         cluster = self.protocol.federation.clusters[self.cluster]
-        leader_agent = self.leader.agent
+        leader = cluster.leader
+        leader_agent = leader.agent
         assert isinstance(leader_agent, Hc3iNodeAgent)
         # The leader participates locally: freeze, save state, snapshot.
         leader_agent.in_round = True
-        self._snapshots.append((self.leader.id.node, tuple(leader_agent.pending_force)))
+        self._snapshots.append((leader.id.node, tuple(leader_agent.pending_force)))
         leader_agent.send_replicas()
 
-        others = [n for n in cluster.nodes if n.id != self.leader.id]
+        others = [n for n in cluster.nodes if n is not leader]
         self._acks_pending = {n.id.node for n in others}
         size = self.protocol.options.control_size
+        send, kind = leader.send_raw, MessageKind.CLC_REQUEST
         for n in others:
-            self.leader.send_raw(n.id, MessageKind.CLC_REQUEST, size=size)
+            send(n.id, kind, size=size)
         if not self._acks_pending:
             self._commit()
 
@@ -329,13 +331,12 @@ class ClcCoordinator:
         # Phase 2: commit broadcast; the leader applies locally right away.
         size = self.protocol.options.control_size + 8 * cs.n_clusters
         cluster = self.protocol.federation.clusters[self.cluster]
+        leader = cluster.leader
+        send, kind = leader.send_raw, MessageKind.CLC_COMMIT
         for n in cluster.nodes:
-            if n.id == self.leader.id:
-                continue
-            self.leader.send_raw(
-                n.id, MessageKind.CLC_COMMIT, size=size, payload={"sn": new_sn}
-            )
-        leader_agent = self.leader.agent
+            if n is not leader:
+                send(n.id, kind, size=size, payload={"sn": new_sn})
+        leader_agent = leader.agent
         assert isinstance(leader_agent, Hc3iNodeAgent)
         leader_agent.apply_commit()
 

@@ -12,25 +12,32 @@ Statistics recorded per message:
   (Table 1 of the paper),
 * ``net/protocol/{kind}`` -- protocol message counts per kind,
 * ``net/protocol_inter`` -- protocol messages that crossed clusters,
-* ``net/bytes/app`` / ``net/bytes/protocol`` -- byte volumes.
+* ``net/replays`` -- re-sent logged application messages,
+* ``net/bytes/app`` / ``net/bytes/protocol`` / ``net/bytes/kind/{kind}``.
 
 :meth:`Fabric.send` runs once per message -- by far the busiest non-kernel
-path in the system -- so everything per-send is O(1) dict hits on caches
-built lazily the first time a (kind, cluster-pair, link) is seen: counter
-objects are resolved once instead of re-formatting their registry names per
-message, and link specs are resolved once per cluster pair.  Laziness
-matters for behavior, not just startup cost: metrics must spring into
-existence exactly when the first matching message is sent, as the paper
-tables (and ``FederationResults.stats``) only contain rows for traffic that
-actually happened.
+path -- so it works off a *channel table* keyed by the plain int tuple
+``(src.cluster, src.node, dst.cluster, dst.node)``.  The first send over a
+node pair resolves the destination check, the link's latency and
+bandwidth, the channel's FIFO watermark and the bound receiver (handed to
+:meth:`Fabric._deliver` as an event argument).  Each channel maps a kind,
+through a dict shared by every channel between the same two clusters, to
+the accounting record of that (src cluster, dst cluster, kind): direct
+references to the live registry counters that kind of send bumps.  A send
+then costs one dict hit on an int tuple, one on the kind's value string
+and inline ``value +=`` updates, with no ``NodeId`` or ``Enum`` hashing.
+Records are built at the first matching send, so metrics spring into
+existence exactly when traffic happens: the paper tables (and
+``FederationResults.stats``) only contain rows for traffic that did.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from repro.network.message import Message, MessageKind, NodeId
-from repro.network.topology import Topology
+from repro.network.topology import LinkSpec, Topology
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import TraceLevel, Tracer
@@ -38,6 +45,25 @@ from repro.sim.trace import TraceLevel, Tracer
 __all__ = ["Fabric"]
 
 Receiver = Callable[[Message], None]
+
+#: enum member reads are slow on the per-message path; read this one once
+_MESSAGE_LEVEL = TraceLevel.MESSAGE
+
+
+class _Channel:
+    """Everything a send over one (src, dst) node pair needs, resolved once:
+    the link, the FIFO watermark ``last_arrival``, the bound receiver and
+    ``records`` (kind value -> accounting record, see :meth:`Fabric._record`),
+    one dict shared by every channel between the same two clusters."""
+
+    __slots__ = ("latency", "bandwidth", "last_arrival", "receiver", "records")
+
+    def __init__(self, link: LinkSpec, receiver: Receiver, records: dict):
+        self.latency = link.latency
+        self.bandwidth = link.bandwidth
+        self.last_arrival = -math.inf
+        self.receiver = receiver
+        self.records = records
 
 
 class Fabric:
@@ -57,16 +83,9 @@ class Fabric:
         self.tracer = tracer
         self.fifo = fifo
         self._receivers: dict[NodeId, Receiver] = {}
-        self._last_arrival: dict[tuple[NodeId, NodeId], float] = {}
-        # lazily-built per-send caches (see module docstring)
-        self._links: dict = {}           # (src_cluster, dst_cluster) -> LinkSpec
-        self._bytes_counters: dict = {}  # MessageKind -> Counter net/bytes/kind/*
-        self._app_counters: dict = {}    # (src_cluster, dst_cluster) -> Counter
-        self._proto_counters: dict = {}  # MessageKind -> Counter net/protocol/*
-        self._bytes_app = None
-        self._bytes_protocol = None
-        self._protocol_inter = None
-        self._replays = None
+        self._channels: dict[tuple, _Channel] = {}
+        #: (src cluster, dst cluster) -> the records dict its channels share
+        self._records: dict[tuple[int, int], dict] = {}
 
     # ------------------------------------------------------------------
     def register(self, node_id: NodeId, receiver: Receiver) -> None:
@@ -82,106 +101,84 @@ class Fabric:
         The arrival time is ``now + latency + size/bandwidth``, pushed later
         if necessary to preserve FIFO order on the (src, dst) channel.
         """
+        src = msg.src
         dst = msg.dst
-        if dst not in self._receivers:
-            raise ValueError(f"message to unregistered node {dst}")
+        key = (src.cluster, src.node, dst.cluster, dst.node)
+        chan = self._channels.get(key)
+        if chan is None:
+            chan = self._open(key, src, dst)
+        size = msg.size
+        if size < 0:
+            raise ValueError(f"negative message size {size}")
         sim = self.sim
         now = sim.now
         msg.send_time = now
-        src = msg.src
-        pair = (src.cluster, dst.cluster)
-        link = self._links.get(pair)
-        if link is None:
-            link = self._links[pair] = self.topology.link_between(*pair)
         # inlined LinkSpec.transfer_delay; the parenthesization must match
         # the original two-step now + transfer_delay(...) computation so
         # arrival times stay bit-identical (float addition isn't associative)
-        arrival = now + (link.latency + (msg.size * 8.0) / link.bandwidth)
+        arrival = now + (chan.latency + (size * 8.0) / chan.bandwidth)
         if self.fifo:
-            chan = (src, dst)
-            last = self._last_arrival
-            prev = last.get(chan)
-            if prev is not None and arrival < prev:
-                arrival = prev
-            last[chan] = arrival
-        self._account(msg)
-        sim.schedule_at(arrival, self._deliver, msg)
+            if arrival < chan.last_arrival:
+                arrival = chan.last_arrival
+            chan.last_arrival = arrival
+        kind = msg.kind
+        record = chan.records.get(kind._value_)
+        if record is None:
+            record = chan.records[kind._value_] = self._record(src.cluster, dst.cluster, kind)
+        count, kind_bytes, class_bytes, inter, traced = record
+        count.value += 1
+        kind_bytes.value += size
+        class_bytes.value += size
+        if inter is not None:
+            inter.value += 1
+        tracer = self.tracer
+        if traced and tracer is not None and tracer.level >= _MESSAGE_LEVEL:
+            tracer.message("send", msg_id=msg.msg_id, src=str(src), dst=str(dst),
+                           msg_kind=kind.value, piggyback=msg.piggyback)
+        sim.schedule_at(arrival, self._deliver, msg, chan.receiver)
         return arrival
 
     # ------------------------------------------------------------------
-    def _deliver(self, msg: Message) -> None:
-        tracer = self.tracer
-        if (
-            tracer is not None
-            and tracer.level >= TraceLevel.MESSAGE
-            and msg.kind.is_app
-        ):
-            tracer.message(
-                "deliver",
-                msg_id=msg.msg_id,
-                src=str(msg.src),
-                dst=str(msg.dst),
-                msg_kind=msg.kind.value,
-            )
-        self._receivers[msg.dst](msg)
+    def _open(self, key: tuple, src: NodeId, dst: NodeId) -> _Channel:
+        """First send over a node pair: check it and build its channel."""
+        receiver = self._receivers.get(dst)
+        if receiver is None:
+            raise ValueError(f"message to unregistered node {dst}")
+        pair = (src.cluster, dst.cluster)
+        records = self._records.get(pair)
+        if records is None:
+            records = self._records[pair] = {}
+        link = self.topology.link_between(*pair)
+        chan = self._channels[key] = _Channel(link, receiver, records)
+        return chan
 
-    def _account(self, msg: Message) -> None:
-        kind = msg.kind
-        size = msg.size
-        counter = self._bytes_counters.get(kind)
-        if counter is None:
-            counter = self._bytes_counters[kind] = self.stats.counter(
-                f"net/bytes/kind/{kind.value}"
-            )
-        counter.inc(size)
+    def _record(self, src_cluster: int, dst_cluster: int, kind: MessageKind) -> tuple:
+        """The ``(count, kind_bytes, class_bytes, inter, traced)`` record of
+        one (src cluster, dst cluster, kind); ``inter`` may be None."""
+        counter = self.stats.counter
+        kind_bytes = counter(f"net/bytes/kind/{kind.value}")
+        inter = None
         if kind is MessageKind.APP:
-            pair = (msg.src.cluster, msg.dst.cluster)
-            counter = self._app_counters.get(pair)
-            if counter is None:
-                counter = self._app_counters[pair] = self.stats.counter(
-                    f"net/app/c{pair[0]}->c{pair[1]}"
-                )
-            counter.inc()
-            if self._bytes_app is None:
-                self._bytes_app = self.stats.counter("net/bytes/app")
-            self._bytes_app.inc(size)
+            count = counter(f"net/app/c{src_cluster}->c{dst_cluster}")
+            class_bytes = counter("net/bytes/app")
         elif kind is MessageKind.REPLAY:
             # Replays are re-deliveries of already-counted sends: they are
             # tracked separately so Table-1 style matrices stay clean.
-            if self._replays is None:
-                self._replays = self.stats.counter("net/replays")
-            self._replays.inc()
-            if self._bytes_app is None:
-                self._bytes_app = self.stats.counter("net/bytes/app")
-            self._bytes_app.inc(size)
+            count = counter("net/replays")
+            class_bytes = counter("net/bytes/app")
         else:
-            counter = self._proto_counters.get(kind)
-            if counter is None:
-                counter = self._proto_counters[kind] = self.stats.counter(
-                    f"net/protocol/{kind.value}"
-                )
-            counter.inc()
-            if self._bytes_protocol is None:
-                self._bytes_protocol = self.stats.counter("net/bytes/protocol")
-            self._bytes_protocol.inc(size)
-            if msg.src.cluster != msg.dst.cluster:
-                if self._protocol_inter is None:
-                    self._protocol_inter = self.stats.counter("net/protocol_inter")
-                self._protocol_inter.inc()
+            count = counter(f"net/protocol/{kind.value}")
+            class_bytes = counter("net/bytes/protocol")
+            if src_cluster != dst_cluster:
+                inter = counter("net/protocol_inter")
+        return (count, kind_bytes, class_bytes, inter, kind.is_app)
+
+    def _deliver(self, msg: Message, receiver: Receiver) -> None:
         tracer = self.tracer
-        if (
-            tracer is not None
-            and tracer.level >= TraceLevel.MESSAGE
-            and (kind is MessageKind.APP or kind is MessageKind.REPLAY)
-        ):
-            tracer.message(
-                "send",
-                msg_id=msg.msg_id,
-                src=str(msg.src),
-                dst=str(msg.dst),
-                msg_kind=kind.value,
-                piggyback=msg.piggyback,
-            )
+        if tracer is not None and tracer.level >= _MESSAGE_LEVEL and msg.kind.is_app:
+            tracer.message("deliver", msg_id=msg.msg_id, src=str(msg.src),
+                           dst=str(msg.dst), msg_kind=msg.kind.value)
+        receiver(msg)
 
     # ------------------------------------------------------------------
     def app_message_count(self, src_cluster: int, dst_cluster: int) -> int:

@@ -6,12 +6,13 @@ collection rounds -- travels as a :class:`Message` through the
 :class:`~repro.network.fabric.Fabric`, so network statistics capture the
 *protocol overhead* the paper evaluates, not only application traffic.
 
-Both classes here are allocated on the per-message hot path (one
-:class:`Message` per send, :class:`NodeId` keys every channel/receiver
-lookup), so they are hand-written ``__slots__`` classes rather than
-dataclasses: no instance ``__dict__``, no generated-method indirection, and
-``NodeId`` caches its hash at construction (it is hashed at least twice per
-send: receiver lookup and FIFO channel key).
+Both classes here sit on the per-message hot path (one :class:`Message`
+per send, whose :class:`NodeId` endpoints the fabric reads), so they are
+hand-written ``__slots__`` classes rather than dataclasses: no instance
+``__dict__``, no generated-method indirection, and ``NodeId`` caches its
+hash at construction for the protocols' per-node dicts and sets.  The
+fabric keys its channels by plain ``(cluster, node)`` ints instead, so a
+send hashes no ``NodeId`` at all.
 """
 
 from __future__ import annotations
